@@ -227,7 +227,7 @@ func printFailoverSummary(ctx context.Context, c *lockservice.Client) {
 	if err != nil {
 		return
 	}
-	vals := parseCounters(text)
+	vals := parseSamples(text)
 	tbl := stats.NewTable("failover counters (server-side)", "counter", "value")
 	for _, row := range []struct{ label, series string }{
 		{"failovers completed", "dinerd_failover_total"},
@@ -236,7 +236,7 @@ func printFailoverSummary(ctx context.Context, c *lockservice.Client) {
 		{"leases adopted", "dinerd_leases_adopted_total"},
 	} {
 		if v, ok := vals[row.series]; ok {
-			tbl.AddRow(row.label, v)
+			tbl.AddRow(row.label, int64(v))
 		}
 	}
 	tbl.Render(os.Stdout)
@@ -252,7 +252,7 @@ func printSubstrateCounters(ctx context.Context, c *lockservice.Client) {
 		fmt.Fprintf(os.Stderr, "loadgen: cannot scrape /metrics: %v\n", err)
 		return
 	}
-	vals := parseCounters(text)
+	vals := parseSamples(text)
 	rows := []struct{ label, series string }{
 		{"frames sent", "dinerd_messages_sent_total"},
 		{"frames dropped (full inboxes)", "dinerd_messages_dropped_total"},
@@ -274,44 +274,30 @@ func printSubstrateCounters(ctx context.Context, c *lockservice.Client) {
 	tbl := stats.NewTable("substrate counters (server-side)", "counter", "value")
 	for _, r := range rows {
 		if v, ok := vals[r.series]; ok {
-			tbl.AddRow(r.label, v)
+			tbl.AddRow(r.label, int64(v))
 		}
 	}
-	if frac, ok := parseGauge(text, "dinerd_hotkey_fraction"); ok && frac > 0 {
+	if frac := vals["dinerd_hotkey_fraction"]; frac > 0 {
 		tbl.AddRow("hottest key share of load", fmt.Sprintf("%.3f", frac))
 	}
 	tbl.Render(os.Stdout)
 }
 
-// parseGauge reads one float-valued series from Prometheus text
-// exposition — the counters table is integer-typed, so gauges like the
-// controller's hot-key fraction parse separately.
-func parseGauge(text, name string) (float64, bool) {
+// parseSamples extracts the unlabelled samples of a Prometheus text
+// exposition as floats (comment and labelled lines are skipped), so a
+// counter printed as 1.234567e+06 reads as well as one printed as an
+// integer.
+func parseSamples(text string) map[string]float64 {
+	out := map[string]float64{}
 	for _, line := range strings.Split(text, "\n") {
-		val, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		if v, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// parseCounters extracts single-value series from Prometheus text
-// exposition (comment and labeled lines are skipped).
-func parseCounters(text string) map[string]int64 {
-	out := map[string]int64{}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
+		if strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
 			continue
 		}
 		name, val, ok := strings.Cut(line, " ")
 		if !ok {
 			continue
 		}
-		if v, err := strconv.ParseInt(val, 10, 64); err == nil {
+		if v, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
 			out[name] = v
 		}
 	}

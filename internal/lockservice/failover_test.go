@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -460,5 +461,27 @@ func TestFailoverAdminEndpoint(t *testing.T) {
 	}
 	if rt.Shard(0).Halted() {
 		t.Fatal("refused failover killed the primary anyway")
+	}
+}
+
+// TestRouterStopStopsStandbys starts and stops a replicated router a
+// few times and requires the goroutine count to return to where it
+// began: Router.Stop must stop every standby server, not only the
+// primaries.
+func TestRouterStopStopsStandbys(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		rt := NewRouter(RouterConfig{Shards: 2, Replicas: 1, Base: fastConfig(graph.Grid(2, 3))})
+		rt.Start()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		rt.Stop(ctx)
+		cancel()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after three start/stop cycles, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,9 +1,7 @@
 package lockservice
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -12,7 +10,8 @@ import (
 
 // Metrics is dinerd's observability surface: plain atomic counters plus
 // latency histograms, exported in Prometheus text exposition format by
-// Server.WriteMetrics with no external dependency.
+// Server.WriteMetrics through internal/stats, with no external
+// dependency.
 type Metrics struct {
 	AcquireRequests       atomic.Int64
 	Grants                atomic.Int64
@@ -45,130 +44,71 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// counterDef pairs a series name with its help string and value source.
-type counterDef struct {
-	name string
-	help string
-	val  func() int64
-}
-
 // WriteMetrics writes the full metrics surface — request counters,
 // queue/lease gauges, per-node diners state, substrate message
 // counters, and the wait/hold histograms — in Prometheus text format.
+// A write error is dropped: the scraper sees a short body.
 func (s *Server) WriteMetrics(w io.Writer) {
-	m := s.metrics
-	counters := []counterDef{
-		{"dinerd_acquire_requests_total", "Acquire requests received.", m.AcquireRequests.Load},
-		{"dinerd_grants_total", "Sessions granted.", m.Grants.Load},
-		{"dinerd_releases_total", "Sessions released by clients.", m.Releases.Load},
-		{"dinerd_lease_renewals_total", "Lease TTL extensions granted.", m.Renewals.Load},
-		{"dinerd_lease_expirations_total", "Leases expired by the server-side TTL janitor.", m.Expirations.Load},
-		{"dinerd_rejected_queue_full_total", "Acquires rejected for backpressure (429).", m.RejectedQueueFull.Load},
-		{"dinerd_rejected_timeout_total", "Acquires that timed out waiting (408).", m.RejectedTimeout.Load},
-		{"dinerd_rejected_unmappable_total", "Acquires naming resource sets with no common worker (422).", m.RejectedUnmappable.Load},
-		{"dinerd_rejected_unserviceable_total", "Acquires whose candidate workers are all dead (503).", m.RejectedUnserviceable.Load},
-		{"dinerd_rejected_draining_total", "Acquires rejected during drain (503).", m.RejectedDraining.Load},
-		{"dinerd_crashes_injected_total", "Faults injected through the admin endpoint.", m.CrashesInjected.Load},
-		{"dinerd_node_restarts_total", "Worker restarts (admin endpoint and supervisor).", m.NodeRestarts.Load},
-		{"dinerd_node_leaves_total", "Workers removed from service (membership leave).", m.NodeLeaves.Load},
-		{"dinerd_node_joins_total", "Departed workers readmitted (membership join).", m.NodeJoins.Load},
-		{"dinerd_leases_fenced_total", "Leases revoked because their home worker restarted.", m.LeasesFenced.Load},
-		{"dinerd_leases_adopted_total", "Replicated leases re-granted by a promoted standby.", m.LeasesAdopted.Load},
-		{"dinerd_messages_sent_total", "Frames sent by the diners substrate.", s.nw.MessagesSent},
-		{"dinerd_messages_dropped_total", "Frames dropped to full inboxes.", s.nw.MessagesDropped},
-		{"dinerd_messages_lost_total", "Frames lost in transit (loss injection / partitions).", s.nw.MessagesLost},
-		{"dinerd_transport_reconnects_total", "TCP edge reconnections after restarts or socket loss.", s.nw.Reconnects},
-		{"dinerd_faults_dropped_total", "Frames dropped by the chaos fault injector.", func() int64 { d, _, _, _ := s.nw.FaultsInjected(); return d }},
-		{"dinerd_faults_duplicated_total", "Frames duplicated by the chaos fault injector.", func() int64 { _, d, _, _ := s.nw.FaultsInjected(); return d }},
-		{"dinerd_faults_corrupted_total", "Frames payload-corrupted by the chaos fault injector.", func() int64 { _, _, c, _ := s.nw.FaultsInjected(); return c }},
-		{"dinerd_faults_delayed_total", "Channel stalls injected by the chaos fault injector.", func() int64 { _, _, _, d := s.nw.FaultsInjected(); return d }},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.val())
-	}
+	_ = stats.WriteText(w, s.families())
+}
 
+// families returns the server's exposition as typed families; the
+// router merges its primaries' families from here.
+func (s *Server) families() []stats.Family {
+	m := s.metrics
+	dropped, duplicated, corrupted, delayed := s.nw.FaultsInjected()
 	depths := s.arb.QueueDepths()
 	total := 0
 	for _, d := range depths {
 		total += d
 	}
-	fmt.Fprintf(w, "# HELP dinerd_queue_depth Pending sessions across all worker queues.\n# TYPE dinerd_queue_depth gauge\ndinerd_queue_depth %d\n", total)
-	fmt.Fprintf(w, "# HELP dinerd_active_leases Currently granted, unreleased leases.\n# TYPE dinerd_active_leases gauge\ndinerd_active_leases %d\n", s.ActiveLeases())
-
-	fmt.Fprintf(w, "# HELP dinerd_node_queue_depth Pending sessions per worker.\n# TYPE dinerd_node_queue_depth gauge\n")
-	for p, d := range depths {
-		fmt.Fprintf(w, "dinerd_node_queue_depth{node=%q} %d\n", strconv.Itoa(p), d)
-	}
 	table := s.nw.Table()
-	fmt.Fprintf(w, "# HELP dinerd_node_state Diners state per worker (1=thinking 2=hungry 3=eating, 0=dead).\n# TYPE dinerd_node_state gauge\n")
-	for p, snap := range table {
-		v := int(snap.State)
-		if snap.Dead {
-			v = 0
-		}
-		fmt.Fprintf(w, "dinerd_node_state{node=%q} %d\n", strconv.Itoa(p), v)
+	return []stats.Family{
+		stats.Counter("dinerd_acquire_requests_total", "Acquire requests received.", m.AcquireRequests.Load()),
+		stats.Counter("dinerd_grants_total", "Sessions granted.", m.Grants.Load()),
+		stats.Counter("dinerd_releases_total", "Sessions released by clients.", m.Releases.Load()),
+		stats.Counter("dinerd_lease_renewals_total", "Lease TTL extensions granted.", m.Renewals.Load()),
+		stats.Counter("dinerd_lease_expirations_total", "Leases expired by the server-side TTL janitor.", m.Expirations.Load()),
+		stats.Counter("dinerd_rejected_queue_full_total", "Acquires rejected for backpressure (429).", m.RejectedQueueFull.Load()),
+		stats.Counter("dinerd_rejected_timeout_total", "Acquires that timed out waiting (408).", m.RejectedTimeout.Load()),
+		stats.Counter("dinerd_rejected_unmappable_total", "Acquires naming resource sets with no common worker (422).", m.RejectedUnmappable.Load()),
+		stats.Counter("dinerd_rejected_unserviceable_total", "Acquires whose candidate workers are all dead (503).", m.RejectedUnserviceable.Load()),
+		stats.Counter("dinerd_rejected_draining_total", "Acquires rejected during drain (503).", m.RejectedDraining.Load()),
+		stats.Counter("dinerd_crashes_injected_total", "Faults injected through the admin endpoint.", m.CrashesInjected.Load()),
+		stats.Counter("dinerd_node_restarts_total", "Worker restarts (admin endpoint and supervisor).", m.NodeRestarts.Load()),
+		stats.Counter("dinerd_node_leaves_total", "Workers removed from service (membership leave).", m.NodeLeaves.Load()),
+		stats.Counter("dinerd_node_joins_total", "Departed workers readmitted (membership join).", m.NodeJoins.Load()),
+		stats.Counter("dinerd_leases_fenced_total", "Leases revoked because their home worker restarted.", m.LeasesFenced.Load()),
+		stats.Counter("dinerd_leases_adopted_total", "Replicated leases re-granted by a promoted standby.", m.LeasesAdopted.Load()),
+		stats.Counter("dinerd_messages_sent_total", "Frames sent by the diners substrate.", s.nw.MessagesSent()),
+		stats.Counter("dinerd_messages_dropped_total", "Frames dropped to full inboxes.", s.nw.MessagesDropped()),
+		stats.Counter("dinerd_messages_lost_total", "Frames lost in transit (loss injection / partitions).", s.nw.MessagesLost()),
+		stats.Counter("dinerd_transport_reconnects_total", "TCP edge reconnections after restarts or socket loss.", s.nw.Reconnects()),
+		stats.Counter("dinerd_faults_dropped_total", "Frames dropped by the chaos fault injector.", dropped),
+		stats.Counter("dinerd_faults_duplicated_total", "Frames duplicated by the chaos fault injector.", duplicated),
+		stats.Counter("dinerd_faults_corrupted_total", "Frames payload-corrupted by the chaos fault injector.", corrupted),
+		stats.Counter("dinerd_faults_delayed_total", "Channel stalls injected by the chaos fault injector.", delayed),
+		stats.Gauge("dinerd_queue_depth", "Pending sessions across all worker queues.", float64(total)),
+		stats.Gauge("dinerd_active_leases", "Currently granted, unreleased leases.", float64(s.ActiveLeases())),
+		indexed("dinerd_node_queue_depth", "Pending sessions per worker.", "gauge", "node", len(depths), func(p int) float64 { return float64(depths[p]) }),
+		indexed("dinerd_node_state", "Diners state per worker (1=thinking 2=hungry 3=eating, 0=dead).", "gauge", "node", len(table), func(p int) float64 {
+			if table[p].Dead {
+				return 0
+			}
+			return float64(table[p].State)
+		}),
+		indexed("dinerd_node_eats_total", "Completed diners eating sessions per worker.", "counter", "node", len(table), func(p int) float64 { return float64(table[p].Eats) }),
+		stats.HistogramFamily("dinerd_acquire_wait_seconds", "Hungry time: submission to grant.", m.WaitHist),
+		stats.HistogramFamily("dinerd_lease_hold_seconds", "Lease hold time: grant to release.", m.HoldHist),
 	}
-	fmt.Fprintf(w, "# HELP dinerd_node_eats_total Completed diners eating sessions per worker.\n# TYPE dinerd_node_eats_total counter\n")
-	for p, snap := range table {
-		fmt.Fprintf(w, "dinerd_node_eats_total{node=%q} %d\n", strconv.Itoa(p), snap.Eats)
-	}
-	writeHistogram(w, "dinerd_acquire_wait_seconds", "Hungry time: submission to grant.", m.WaitHist)
-	writeHistogram(w, "dinerd_lease_hold_seconds", "Lease hold time: grant to release.", m.HoldHist)
 }
 
-// writeHistogram emits one histogram in Prometheus text format.
-func writeHistogram(w io.Writer, name, help string, h *stats.LatencyHistogram) {
-	bounds, cum, count, sum := h.Snapshot()
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for i, b := range bounds {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum[i])
+// indexed returns a family of one sample per index 0..n-1, labelled
+// label="i": the per-worker and per-shard series.
+func indexed(name, help, typ, label string, n int, val func(i int) float64) stats.Family {
+	f := stats.Family{Name: name, Help: help, Type: typ, Samples: make([]stats.Sample, n)}
+	for i := range f.Samples {
+		f.Samples[i] = stats.Sample{Name: name, Labels: []stats.Label{{Name: label, Value: strconv.Itoa(i)}}, Value: val(i)}
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, count)
-}
-
-// formatBound renders a bucket bound the way Prometheus clients expect.
-func formatBound(b float64) string {
-	return strconv.FormatFloat(b, 'g', -1, 64)
-}
-
-// MetricNames returns the sorted names of all exported series families
-// (used by tests and docs to keep the catalog honest).
-func MetricNames() []string {
-	names := []string{
-		"dinerd_acquire_requests_total",
-		"dinerd_grants_total",
-		"dinerd_releases_total",
-		"dinerd_lease_renewals_total",
-		"dinerd_lease_expirations_total",
-		"dinerd_rejected_queue_full_total",
-		"dinerd_rejected_timeout_total",
-		"dinerd_rejected_unmappable_total",
-		"dinerd_rejected_unserviceable_total",
-		"dinerd_rejected_draining_total",
-		"dinerd_crashes_injected_total",
-		"dinerd_node_restarts_total",
-		"dinerd_node_leaves_total",
-		"dinerd_node_joins_total",
-		"dinerd_leases_fenced_total",
-		"dinerd_leases_adopted_total",
-		"dinerd_messages_sent_total",
-		"dinerd_messages_dropped_total",
-		"dinerd_messages_lost_total",
-		"dinerd_transport_reconnects_total",
-		"dinerd_faults_dropped_total",
-		"dinerd_faults_duplicated_total",
-		"dinerd_faults_corrupted_total",
-		"dinerd_faults_delayed_total",
-		"dinerd_queue_depth",
-		"dinerd_active_leases",
-		"dinerd_node_queue_depth",
-		"dinerd_node_state",
-		"dinerd_node_eats_total",
-		"dinerd_acquire_wait_seconds",
-		"dinerd_lease_hold_seconds",
-	}
-	sort.Strings(names)
-	return names
+	return f
 }

@@ -1,8 +1,6 @@
 package lockservice
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -272,8 +270,10 @@ func (r *Router) Stop(ctx context.Context) {
 	r.wg.Wait()
 	var wg sync.WaitGroup
 	for _, set := range r.sets {
+		// Snapshot before stop: it clears the standby list.
+		servers := set.servers()
 		set.stop()
-		for _, s := range set.servers() {
+		for _, s := range servers {
 			wg.Add(1)
 			go func(s *Server) {
 				defer wg.Done()
@@ -1019,125 +1019,83 @@ func (r *Router) handleFailover(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, r.ShardInfo(s))
 }
 
-// WriteMetrics merges every shard's exposition into one: samples with
-// identical name and labels are summed (which aggregates the plain
-// counters, gauges, and histogram buckets correctly), and node-labeled
-// samples first gain a shard label so worker IDs that repeat across
-// shards stay distinct. Router-level routing series are prepended.
+// WriteMetrics writes the router's routing and failover series followed
+// by its primaries' merged exposition. A write error is dropped: the
+// scraper sees a short body.
 func (r *Router) WriteMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP dinerd_router_ring_generation Consistent-hash ring generation.\n# TYPE dinerd_router_ring_generation gauge\ndinerd_router_ring_generation %d\n", r.generation())
-	fmt.Fprintf(w, "# HELP dinerd_router_wrong_shard_rejections_total Acquires routed under a stale ring generation (409).\n# TYPE dinerd_router_wrong_shard_rejections_total counter\ndinerd_router_wrong_shard_rejections_total %d\n", r.metrics.WrongShardRejections.Load())
-	fmt.Fprintf(w, "# HELP dinerd_span_acquires_total Cross-shard span acquires attempted.\n# TYPE dinerd_span_acquires_total counter\ndinerd_span_acquires_total %d\n", r.metrics.SpanAcquires.Load())
-	fmt.Fprintf(w, "# HELP dinerd_span_commits_total Cross-shard spans committed atomically.\n# TYPE dinerd_span_commits_total counter\ndinerd_span_commits_total %d\n", r.metrics.SpanCommits.Load())
-	fmt.Fprintf(w, "# HELP dinerd_span_rollback_total Cross-shard spans rolled back (sub-acquire failure, lost prepare, or fenced sub-lease).\n# TYPE dinerd_span_rollback_total counter\ndinerd_span_rollback_total %d\n", r.metrics.SpanRollbacks.Load())
-	fmt.Fprintf(w, "# HELP dinerd_router_shard_requests_total Acquire requests routed per shard.\n# TYPE dinerd_router_shard_requests_total counter\n")
-	for i := range r.metrics.ShardRequests {
-		fmt.Fprintf(w, "dinerd_router_shard_requests_total{shard=%q} %d\n", strconv.Itoa(i), r.metrics.ShardRequests[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP dinerd_failover_total Completed standby promotions across all shards.\n# TYPE dinerd_failover_total counter\ndinerd_failover_total %d\n", r.metrics.Failovers.Load())
-	fmt.Fprintf(w, "# HELP dinerd_leaderless_rejections_total Requests bounced with 503+Retry-After while a shard was leaderless.\n# TYPE dinerd_leaderless_rejections_total counter\ndinerd_leaderless_rejections_total %d\n", r.metrics.LeaderlessRejections.Load())
-	fmt.Fprintf(w, "# HELP dinerd_rebalance_total Key migrations committed (override installed after a clean drain).\n# TYPE dinerd_rebalance_total counter\ndinerd_rebalance_total %d\n", r.metrics.Rebalances.Load())
-	fmt.Fprintf(w, "# HELP dinerd_rebalance_aborted_total Key migrations that fenced a key but aborted before the override landed.\n# TYPE dinerd_rebalance_aborted_total counter\ndinerd_rebalance_aborted_total %d\n", r.metrics.RebalancesAborted.Load())
-	fmt.Fprintf(w, "# HELP dinerd_migration_fences_total Acquires bounced (409) by an in-flight key migration's fence.\n# TYPE dinerd_migration_fences_total counter\ndinerd_migration_fences_total %d\n", r.metrics.MigrationFences.Load())
+	_ = stats.WriteText(w, r.families())
+}
+
+// families returns the router's own families, then mergeShards'.
+func (r *Router) families() []stats.Family {
+	m := r.metrics
 	hot := 0.0
 	if r.ctl != nil {
 		hot = r.ctl.Snapshot().HotFraction
 	}
-	fmt.Fprintf(w, "# HELP dinerd_hotkey_fraction Hottest single key's share of total decayed grant load (0 when the controller is off).\n# TYPE dinerd_hotkey_fraction gauge\ndinerd_hotkey_fraction %s\n", strconv.FormatFloat(hot, 'g', -1, 64))
-	writeHistogram(w, "dinerd_promotion_seconds", "Standby promotion latency: decision to serving.", r.metrics.PromotionHist)
-	fmt.Fprintf(w, "# HELP dinerd_shard_role Shard role (1=primary serving, 0=halted/leaderless).\n# TYPE dinerd_shard_role gauge\n")
-	for i, set := range r.sets {
-		role := 1
-		if !set.Primary().Healthy() {
-			role = 0
-		}
-		fmt.Fprintf(w, "dinerd_shard_role{shard=%q} %d\n", strconv.Itoa(i), role)
-	}
-	fmt.Fprintf(w, "# HELP dinerd_shard_incarnation Primary incarnation per shard (bumped on every promotion).\n# TYPE dinerd_shard_incarnation gauge\n")
-	for i, set := range r.sets {
-		fmt.Fprintf(w, "dinerd_shard_incarnation{shard=%q} %d\n", strconv.Itoa(i), set.incarnation())
-	}
-	fmt.Fprintf(w, "# HELP dinerd_shard_replication_lag Widest standby lag per shard, in lease records.\n# TYPE dinerd_shard_replication_lag gauge\n")
-	for i, set := range r.sets {
-		fmt.Fprintf(w, "dinerd_shard_replication_lag{shard=%q} %d\n", strconv.Itoa(i), set.maxLag())
-	}
-
-	help := map[string]string{}
-	typ := map[string]string{}
-	sums := map[string]float64{}
-	var order []string // first-seen sample keys, for stable output
-	for i, set := range r.sets {
-		var buf bytes.Buffer
-		set.Primary().WriteMetrics(&buf)
-		sc := bufio.NewScanner(&buf)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-				name, text, _ := strings.Cut(rest, " ")
-				help[name] = text
-				continue
+	fams := []stats.Family{
+		stats.Gauge("dinerd_router_ring_generation", "Consistent-hash ring generation.", float64(r.generation())),
+		stats.Counter("dinerd_router_wrong_shard_rejections_total", "Acquires routed under a stale ring generation (409).", m.WrongShardRejections.Load()),
+		stats.Counter("dinerd_span_acquires_total", "Cross-shard span acquires attempted.", m.SpanAcquires.Load()),
+		stats.Counter("dinerd_span_commits_total", "Cross-shard spans committed atomically.", m.SpanCommits.Load()),
+		stats.Counter("dinerd_span_rollback_total", "Cross-shard spans rolled back (sub-acquire failure, lost prepare, or fenced sub-lease).", m.SpanRollbacks.Load()),
+		indexed("dinerd_router_shard_requests_total", "Acquire requests routed per shard.", "counter", "shard", len(m.ShardRequests), func(i int) float64 { return float64(m.ShardRequests[i].Load()) }),
+		stats.Counter("dinerd_failover_total", "Completed standby promotions across all shards.", m.Failovers.Load()),
+		stats.Counter("dinerd_leaderless_rejections_total", "Requests bounced with 503+Retry-After while a shard was leaderless.", m.LeaderlessRejections.Load()),
+		stats.Counter("dinerd_rebalance_total", "Key migrations committed (override installed after a clean drain).", m.Rebalances.Load()),
+		stats.Counter("dinerd_rebalance_aborted_total", "Key migrations that fenced a key but aborted before the override landed.", m.RebalancesAborted.Load()),
+		stats.Counter("dinerd_migration_fences_total", "Acquires bounced (409) by an in-flight key migration's fence.", m.MigrationFences.Load()),
+		stats.Gauge("dinerd_hotkey_fraction", "Hottest single key's share of total decayed grant load (0 when the controller is off).", hot),
+		stats.HistogramFamily("dinerd_promotion_seconds", "Standby promotion latency: decision to serving.", m.PromotionHist),
+		indexed("dinerd_shard_role", "Shard role (1=primary serving, 0=halted/leaderless).", "gauge", "shard", len(r.sets), func(i int) float64 {
+			if r.sets[i].Primary().Healthy() {
+				return 1
 			}
-			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-				name, t, _ := strings.Cut(rest, " ")
-				typ[name] = t
-				continue
-			}
-			key, val, ok := parseSample(line, i)
-			if !ok {
-				continue
-			}
-			if _, seen := sums[key]; !seen {
-				order = append(order, key)
-			}
-			sums[key] += val
-		}
+			return 0
+		}),
+		indexed("dinerd_shard_incarnation", "Primary incarnation per shard (bumped on every promotion).", "gauge", "shard", len(r.sets), func(i int) float64 { return float64(r.sets[i].incarnation()) }),
+		indexed("dinerd_shard_replication_lag", "Widest standby lag per shard, in lease records.", "gauge", "shard", len(r.sets), func(i int) float64 { return float64(r.sets[i].maxLag()) }),
 	}
-	emitted := map[string]bool{}
-	for _, key := range order {
-		name := key
-		if j := strings.IndexByte(key, '{'); j >= 0 {
-			name = key[:j]
-		}
-		if fam := familyOf(name, help); fam != "" && !emitted[fam] {
-			emitted[fam] = true
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam, help[fam], fam, typ[fam])
-		}
-		fmt.Fprintf(w, "%s %s\n", key, strconv.FormatFloat(sums[key], 'g', -1, 64))
-	}
+	return append(fams, r.mergeShards()...)
 }
 
-// parseSample splits one exposition sample line into its merge key and
-// value, injecting a shard label into node-labeled samples.
-func parseSample(line string, shardID int) (key string, val float64, ok bool) {
-	sp := strings.LastIndexByte(line, ' ')
-	if sp <= 0 {
-		return "", 0, false
-	}
-	key = line[:sp]
-	v, err := strconv.ParseFloat(line[sp+1:], 64)
-	if err != nil {
-		return "", 0, false
-	}
-	if strings.Contains(key, `{node=`) && strings.HasSuffix(key, "}") {
-		key = fmt.Sprintf("%s,shard=%q}", key[:len(key)-1], strconv.Itoa(shardID))
-	}
-	return key, v, true
-}
-
-// familyOf resolves a sample name to its HELP/TYPE family, stripping
-// the histogram sample suffixes.
-func familyOf(name string, help map[string]string) string {
-	if _, ok := help[name]; ok {
-		return name
-	}
-	for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, sfx); ok {
-			if _, ok := help[base]; ok {
-				return base
+// mergeShards merges the primaries' families: samples with the same
+// name and labels are summed (which aggregates the plain counters,
+// gauges, and histogram buckets correctly), in first-seen order, and
+// node-labelled samples first gain a shard label so worker IDs that
+// repeat across shards stay distinct. A sample seen first in a later
+// shard joins the output as a new run of its family, after everything
+// the earlier shards contributed.
+func (r *Router) mergeShards() []stats.Family {
+	var out []stats.Family
+	at := map[string][2]int{} // sample key -> index in out, index in its Samples
+	var key []byte
+	for i, set := range r.sets {
+		shardLabel := stats.Label{Name: "shard", Value: strconv.Itoa(i)}
+		for _, f := range set.Primary().families() {
+			for _, s := range f.Samples {
+				if len(s.Labels) > 0 && s.Labels[0].Name == "node" {
+					s.Labels = append(s.Labels[:len(s.Labels):len(s.Labels)], shardLabel)
+				}
+				key = append(key[:0], s.Name...)
+				for _, l := range s.Labels {
+					key = append(append(key, 0), l.Name...)
+					key = append(append(key, 0), l.Value...)
+				}
+				if pos, ok := at[string(key)]; ok {
+					out[pos[0]].Samples[pos[1]].Value += s.Value
+					continue
+				}
+				if len(out) == 0 || out[len(out)-1].Name != f.Name {
+					out = append(out, stats.Family{Name: f.Name, Help: f.Help, Type: f.Type, Samples: make([]stats.Sample, 0, len(f.Samples))})
+				}
+				last := &out[len(out)-1]
+				at[string(key)] = [2]int{len(out) - 1, len(last.Samples)}
+				last.Samples = append(last.Samples, s)
 			}
 		}
 	}
-	return ""
+	return out
 }
 
 // ShardKeys partitions a catalog of resource names by owning shard —

@@ -453,3 +453,27 @@ func TestInitArbitraryAfterStartPanics(t *testing.T) {
 	}()
 	nw.InitArbitrary(1)
 }
+
+// TestExitYieldsToDeadDescendant: node 0 has a dead descendant 1 whose
+// frozen garbage depth exceeds D, and node 0 does not hold the edge
+// token (a dead peer never returns it). fixdepth copies the depth, exit
+// fires, and its yield must make 1 an ancestor right away; otherwise
+// fixdepth copies the dead depth again after every exit, and the
+// resulting depth > D exits spread past distance 2.
+func TestExitYieldsToDeadDescendant(t *testing.T) {
+	nw := NewNetwork(Config{Graph: graph.Path(2), Algorithm: core.NewMCDP(), Hungry: []bool{false, false}})
+	n := nw.procs.Load().nodes[0]
+	e := n.edgeTo(1)
+	e.peerCounter = 1 // node 0 is the low endpoint: it holds iff counters match
+	e.peerDepth = n.d + 5
+	if e.holds() || n.view.HasPriority(1) {
+		t.Fatal("set-up: node 0 must be the ancestor and lack the token")
+	}
+	n.act()
+	if !n.view.HasPriority(1) || n.depth != 0 {
+		t.Fatalf("after act: peer is ancestor %v, depth %d; want true, 0", n.view.HasPriority(1), n.depth)
+	}
+	if !e.pendingYield {
+		t.Fatal("the yield must stay pending until node 0 holds the token")
+	}
+}

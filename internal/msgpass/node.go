@@ -509,16 +509,18 @@ func (v *nodeView) SetState(s core.State) { v.n.state = s }
 
 func (v *nodeView) SetDepth(d int) { v.n.depth = d }
 
-// YieldTo records the yield; it takes effect on the edge the moment the
-// node holds its token (immediately if it already does).
+// YieldTo makes q the ancestor in the node's own view at once, as the
+// paper's exit writes priority.p.q := q, and, when the node does not
+// hold the edge token, marks the yield pending until it does: only a
+// holder's frames carry the priority to the peer. The local write
+// matters when q is dead. A dead peer never hands the token back, so a
+// yield that waited for it would leave q a descendant whose frozen
+// depth fixdepth copies after every exit. The resulting depth > D exits
+// spread and starve nodes beyond distance 2.
 func (v *nodeView) YieldTo(q graph.ProcID) {
 	e := v.n.edgeTo(q)
-	if e.holds() {
-		e.priority = q
-		e.pendingYield = false
-		return
-	}
-	e.pendingYield = true
+	e.priority = q
+	e.pendingYield = !e.holds()
 }
 
 func (n *node) edgeTo(q graph.ProcID) *edgeState {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"strconv"
 	"sync"
 )
 
@@ -132,6 +133,7 @@ type LatencyHistogram struct {
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds, exclusive of +Inf; guarded by mu
 	counts []int64   // len(bounds) + 1; last is the +Inf bucket; guarded by mu
+	les    []Label   // the le label of each bucket, +Inf last; immutable
 	sum    float64   // guarded by mu
 	count  int64     // guarded by mu
 }
@@ -161,9 +163,14 @@ func NewLatencyHistogram(bounds []float64) *LatencyHistogram {
 			panic("stats: LatencyHistogram bounds must be ascending")
 		}
 	}
+	les := make([]Label, 0, len(bounds)+1)
+	for _, b := range bounds {
+		les = append(les, Label{"le", strconv.FormatFloat(b, 'g', -1, 64)})
+	}
 	return &LatencyHistogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]int64, len(bounds)+1),
+		les:    append(les, Label{"le", "+Inf"}),
 	}
 }
 
@@ -181,22 +188,6 @@ func (h *LatencyHistogram) Observe(x float64) {
 	h.counts[i]++
 	h.sum += x
 	h.count++
-}
-
-// Snapshot returns the bucket upper bounds, the cumulative counts per
-// bound (Prometheus le semantics, excluding +Inf), the total
-// observation count, and the sum.
-func (h *LatencyHistogram) Snapshot() (bounds []float64, cumulative []int64, count int64, sum float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bounds = append([]float64(nil), h.bounds...)
-	cumulative = make([]int64, len(h.bounds))
-	var acc int64
-	for i := range h.bounds {
-		acc += h.counts[i]
-		cumulative[i] = acc
-	}
-	return bounds, cumulative, h.count, h.sum
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear

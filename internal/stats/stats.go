@@ -1,6 +1,8 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harness and benchmarks: summaries (mean, median, percentiles,
-// standard deviation), histograms, and aligned plain-text tables.
+// standard deviation), histograms, and aligned plain-text tables. It also
+// owns the Prometheus text exposition: the services hand it typed
+// families and WriteText prints them.
 package stats
 
 import (

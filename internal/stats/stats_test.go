@@ -306,6 +306,17 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// histogramValues reads h back through its exposition: the cumulative
+// count per finite bound, the total count and the sum.
+func histogramValues(h *LatencyHistogram) (cum []float64, count, sum float64) {
+	f := HistogramFamily("h", "", h)
+	n := len(f.Samples)
+	for _, s := range f.Samples[:n-3] {
+		cum = append(cum, s.Value)
+	}
+	return cum, f.Samples[n-1].Value, f.Samples[n-2].Value
+}
+
 func TestLatencyHistogramBucketsAndQuantiles(t *testing.T) {
 	h := NewLatencyHistogram([]float64{1, 2, 4})
 	if h.Quantile(0.5) != 0 {
@@ -314,14 +325,14 @@ func TestLatencyHistogramBucketsAndQuantiles(t *testing.T) {
 	for _, x := range []float64{0.5, 1.5, 1.5, 3, 100} {
 		h.Observe(x)
 	}
-	bounds, cum, count, sum := h.Snapshot()
-	if len(bounds) != 3 || count != 5 || !almostEqual(sum, 106.5) {
-		t.Fatalf("snapshot: bounds=%v count=%d sum=%v", bounds, count, sum)
+	cum, count, sum := histogramValues(h)
+	if len(cum) != 3 || count != 5 || !almostEqual(sum, 106.5) {
+		t.Fatalf("exposition: cumulative=%v count=%v sum=%v", cum, count, sum)
 	}
-	wantCum := []int64{1, 3, 4} // le=1:1, le=2:3, le=4:4 (+Inf holds the 100)
+	wantCum := []float64{1, 3, 4} // le=1:1, le=2:3, le=4:4 (+Inf holds the 100)
 	for i := range wantCum {
 		if cum[i] != wantCum[i] {
-			t.Errorf("cumulative[%d] = %d, want %d", i, cum[i], wantCum[i])
+			t.Errorf("cumulative[%d] = %v, want %v", i, cum[i], wantCum[i])
 		}
 	}
 	if q := h.Quantile(0.5); q < 1 || q > 2 {
@@ -399,12 +410,12 @@ func TestLatencyHistogramBucketBoundaries(t *testing.T) {
 	for _, c := range cases {
 		h := NewLatencyHistogram(bounds)
 		h.Observe(c.x)
-		_, cum, count, _ := h.Snapshot()
+		cum, count, _ := histogramValues(h)
 		if count != 1 {
-			t.Fatalf("x=%v: count %d", c.x, count)
+			t.Fatalf("x=%v: count %v", c.x, count)
 		}
 		for i, acc := range cum {
-			want := int64(0)
+			want := 0.0
 			if i >= c.bucket {
 				want = 1
 			}
@@ -412,8 +423,46 @@ func TestLatencyHistogramBucketBoundaries(t *testing.T) {
 				want = 0 // +Inf only: no finite le bucket sees it
 			}
 			if acc != want {
-				t.Errorf("x=%v: cumulative[le=%v] = %d, want %d", c.x, bounds[i], acc, want)
+				t.Errorf("x=%v: cumulative[le=%v] = %v, want %v", c.x, bounds[i], acc, want)
 			}
 		}
+	}
+}
+
+func TestWriteText(t *testing.T) {
+	h := NewLatencyHistogram([]float64{0.5, 1})
+	h.Observe(0.25)
+	h.Observe(3)
+	node := Family{Name: "x_node", Help: "Per node.", Type: "gauge", Samples: []Sample{
+		{Name: "x_node", Labels: []Label{{"node", "0"}, {"shard", `a"b\c`}}, Value: 2},
+	}}
+	more := node
+	more.Samples = []Sample{{Name: "x_node", Labels: []Label{{"node", "1"}}, Value: 0.5}}
+	var b strings.Builder
+	if err := WriteText(&b, []Family{
+		Counter("x_total", "Total.", 1234567),
+		node,
+		HistogramFamily("x_seconds", "Latency.", h),
+		more,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP x_total Total.
+# TYPE x_total counter
+x_total 1234567
+# HELP x_node Per node.
+# TYPE x_node gauge
+x_node{node="0",shard="a\"b\\c"} 2
+# HELP x_seconds Latency.
+# TYPE x_seconds histogram
+x_seconds_bucket{le="0.5"} 1
+x_seconds_bucket{le="1"} 1
+x_seconds_bucket{le="+Inf"} 2
+x_seconds_sum 3.25
+x_seconds_count 2
+x_node{node="1"} 0.5
+`
+	if got := b.String(); got != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"mcdp/internal/msgpass"
+	"mcdp/internal/stats"
 )
 
 // ServerConfig tunes a wire listener.
@@ -387,26 +387,21 @@ func corruptFrame(frame []byte, bits uint64) []byte {
 
 // WritePrometheus appends the listener's counters to a Prometheus text
 // exposition (the dinerd /metrics handler calls this after the
-// router's own series).
+// router's own series). A write error is dropped: the scraper sees a
+// short body.
 func (s *Server) WritePrometheus(w io.Writer) {
-	rows := []struct {
-		name, help string
-		val        int64
-	}{
-		{"dinerd_wire_connections_total", "Wire connections accepted.", s.stats.Connections.Load()},
-		{"dinerd_wire_frames_in_total", "Wire frames received.", s.stats.FramesIn.Load()},
-		{"dinerd_wire_frames_out_total", "Wire frames sent.", s.stats.FramesOut.Load()},
-		{"dinerd_wire_entries_in_total", "Wire operations received (batch entries).", s.stats.EntriesIn.Load()},
-		{"dinerd_wire_entries_out_total", "Wire responses sent (batch entries).", s.stats.EntriesOut.Load()},
-		{"dinerd_wire_bad_frames_total", "Frames rejected for bad magic, framing, or CRC.", s.stats.BadFrames.Load()},
-		{"dinerd_wire_faults_dropped_total", "Response frames dropped by the chaos injector.", s.stats.FaultsDropped.Load()},
-		{"dinerd_wire_faults_duplicated_total", "Response frames duplicated by the chaos injector.", s.stats.FaultsDuplicate.Load()},
-		{"dinerd_wire_faults_corrupted_total", "Response frames corrupted by the chaos injector.", s.stats.FaultsCorrupted.Load()},
-		{"dinerd_wire_faults_stalled_total", "Response frames stalled by the chaos injector.", s.stats.FaultsStalled.Load()},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", r.name, r.help, r.name, r.name, r.val)
-	}
-	fmt.Fprintf(w, "# HELP dinerd_wire_open_connections Currently open wire connections.\n# TYPE dinerd_wire_open_connections gauge\ndinerd_wire_open_connections %d\n",
-		s.stats.OpenConnections.Load())
+	st := &s.stats
+	_ = stats.WriteText(w, []stats.Family{
+		stats.Counter("dinerd_wire_connections_total", "Wire connections accepted.", st.Connections.Load()),
+		stats.Counter("dinerd_wire_frames_in_total", "Wire frames received.", st.FramesIn.Load()),
+		stats.Counter("dinerd_wire_frames_out_total", "Wire frames sent.", st.FramesOut.Load()),
+		stats.Counter("dinerd_wire_entries_in_total", "Wire operations received (batch entries).", st.EntriesIn.Load()),
+		stats.Counter("dinerd_wire_entries_out_total", "Wire responses sent (batch entries).", st.EntriesOut.Load()),
+		stats.Counter("dinerd_wire_bad_frames_total", "Frames rejected for bad magic, framing, or CRC.", st.BadFrames.Load()),
+		stats.Counter("dinerd_wire_faults_dropped_total", "Response frames dropped by the chaos injector.", st.FaultsDropped.Load()),
+		stats.Counter("dinerd_wire_faults_duplicated_total", "Response frames duplicated by the chaos injector.", st.FaultsDuplicate.Load()),
+		stats.Counter("dinerd_wire_faults_corrupted_total", "Response frames corrupted by the chaos injector.", st.FaultsCorrupted.Load()),
+		stats.Counter("dinerd_wire_faults_stalled_total", "Response frames stalled by the chaos injector.", st.FaultsStalled.Load()),
+		stats.Gauge("dinerd_wire_open_connections", "Currently open wire connections.", float64(st.OpenConnections.Load())),
+	})
 }
