@@ -58,8 +58,8 @@ type benchFile struct {
 	Config        benchConfig   `json:"config"`
 	ShardSweep    []benchResult `json:"shard_sweep"`
 	// Speedup4v1 is the acceptance quantity: 4-shard over 1-shard
-	// throughput (0 when either stage is missing from -shards).
-	Speedup4v1 float64     `json:"speedup_4shard_vs_1shard"`
+	// throughput (omitted when either stage is missing from -shards).
+	Speedup4v1 float64     `json:"speedup_4shard_vs_1shard,omitempty"`
 	Core       []coreBench `json:"core_benchmarks,omitempty"`
 }
 
@@ -176,7 +176,6 @@ func benchCmd(args []string) {
 		span:     *span,
 		seed:     *seed,
 		keys:     *keys,
-		sharded:  true,
 	}
 	cfg := lockservice.Config{Graph: g, Seed: *seed, TickEvery: *tick}
 

@@ -104,14 +104,17 @@ func chaosCmd(args []string) {
 	if *supmode {
 		cfg.Supervise = &lockservice.SupervisorConfig{Garbage: *garbage}
 	}
-	srv := lockservice.NewServer(cfg)
-	srv.Start()
+	// A one-shard router: the campaign aims at one diners core, served
+	// through the same front end as every dinerd.
+	rt := lockservice.NewRouter(lockservice.RouterConfig{Base: cfg})
+	rt.Start()
+	srv := rt.Shard(0)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fail(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: rt.Handler()}
 	go func() { _ = httpSrv.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
 
@@ -125,7 +128,7 @@ func chaosCmd(args []string) {
 	var wireClient *wire.Client
 	if *transport == "wire" {
 		ws = wire.NewServer(wire.ServerConfig{
-			Backend:   srv.WireBackend(),
+			Backend:   rt.WireBackend(),
 			Faults:    chaos.NewInjector(*seed+101, faults),
 			FaultTick: *tick,
 		})
@@ -241,7 +244,7 @@ func chaosCmd(args []string) {
 	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShutdown()
 	_ = httpSrv.Shutdown(shutdownCtx)
-	srv.Stop(shutdownCtx)
+	rt.Stop(shutdownCtx)
 
 	// Authoritative verdicts, computed after the network has stopped.
 	overlaps := srv.Network().OverlappingNeighborSessions()

@@ -20,8 +20,6 @@ import (
 
 // shardCatalog maps the resource names the generator draws onto the
 // placement ring so every request is single-shard by construction.
-// Against an unsharded server (nil ring) everything lives on pseudo-
-// shard 0 and the catalog degenerates to the old behavior.
 type shardCatalog struct {
 	keys    []string
 	shardOf map[string]int
@@ -71,10 +69,7 @@ func assembleCatalog(keys, edges []string, ring *shard.Ring) *shardCatalog {
 	byGroup := map[group][]string{}
 	var order []group
 	for _, name := range keys {
-		s := 0
-		if ring != nil {
-			s, _ = ring.Lookup(name)
-		}
+		s, _ := ring.Lookup(name)
 		c.shardOf[name] = s
 		c.byShard[s] = append(c.byShard[s], name)
 		seen[s] = true
@@ -203,13 +198,12 @@ func (c *shardCatalog) pickSpan(rng *rand.Rand) []string {
 // description; Lookup then agrees with the router for every key at the
 // reported generation. The override table rides along: without it a
 // client would resolve rebalanced keys to their stale hash homes and
-// eat a 409 on every draw.
+// eat a 409 on every draw. A member Add rejects (negative or listed
+// twice) is skipped: it cannot own keys on the router's ring either.
 func replicaRing(info *lockservice.RingInfo) *shard.Ring {
 	r := shard.New(info.Seed, info.Vnodes)
 	for _, m := range info.Members {
-		if err := r.Add(m); err != nil {
-			return nil // overlapping members: trust the server, route blind
-		}
+		_ = r.Add(m)
 	}
 	r.SetOverrides(info.Overrides)
 	return r
@@ -234,7 +228,6 @@ type loadOpts struct {
 	span      float64 // probability a request draws a cross-shard multi-key set
 	seed      int64
 	keys      int      // synthetic keyspace size (0 = raw edge catalog)
-	sharded   bool     // seed the ring generation so acquires assert it
 	dist      distOpts // single-key draw distribution (zero value = uniform)
 }
 
@@ -351,9 +344,7 @@ func runLoad(ctx context.Context, cat *shardCatalog, o loadOpts) *loadResult {
 		} else {
 			shared.Conns = 8
 		}
-		if o.sharded {
-			_ = shared.Sync(ctx) // hello seeds the generation the acquires assert
-		}
+		_ = shared.Sync(ctx) // hello seeds the generation the acquires assert
 		res.wire = shared.Stats()
 		defer shared.Close()
 	}
@@ -371,9 +362,7 @@ func runLoad(ctx context.Context, cat *shardCatalog, o loadOpts) *loadResult {
 				sess = wireSession{shared}
 			} else {
 				c := lockservice.NewClient(o.addr)
-				if o.sharded {
-					_, _ = c.Ring(ctx) // seed the generation the acquires assert
-				}
+				_, _ = c.Ring(ctx) // seed the generation the acquires assert
 				sess = httpSession{c}
 			}
 			for time.Now().Before(stopAt) && ctx.Err() == nil {

@@ -11,17 +11,16 @@ import (
 	"time"
 
 	"mcdp/internal/lockservice"
-	"mcdp/internal/shard"
 	"mcdp/internal/stats"
 	"mcdp/internal/wire"
 )
 
 // loadgen hammers a running dinerd with concurrent acquire/hold/release
-// cycles and reports client-observed latency percentiles. Against a
-// sharded server it replicates the placement ring from /v1/ring, keeps
-// ordinary draws single-shard, and breaks the percentiles out per
-// shard; -span mixes in cross-shard multi-key sets (one key per
-// distinct shard) that exercise the router's span protocol.
+// cycles and reports client-observed latency percentiles. It
+// replicates the placement ring from /v1/ring, keeps ordinary draws
+// single-shard, and breaks the percentiles out per shard; -span mixes
+// in cross-shard multi-key sets (one key per distinct shard) that
+// exercise the router's span protocol.
 func loadgen(args []string) {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var (
@@ -33,7 +32,7 @@ func loadgen(args []string) {
 		duration  = fs.Duration("duration", 10*time.Second, "load duration")
 		hold      = fs.Duration("hold", 5*time.Millisecond, "lease hold time per grant")
 		pair      = fs.Float64("pair", 0.2, "probability a request asks for two locks sharing a worker")
-		span      = fs.Float64("span", 0, "probability a request draws a cross-shard multi-key set (needs a sharded server)")
+		span      = fs.Float64("span", 0, "probability a request draws a cross-shard multi-key set (needs -shards > 1 on the server)")
 		timeout   = fs.Duration("timeout", 2*time.Second, "per-acquire wait budget")
 		seed      = fs.Int64("seed", 1, "client randomness seed")
 		keys      = fs.Int("keys", 0, "synthetic named-resource keyspace size (0 = lock raw edge names)")
@@ -67,13 +66,14 @@ func loadgen(args []string) {
 		fail(fmt.Errorf("server at %s exposes no lockable resources", *addr))
 	}
 
-	// A router answers /v1/ring; a single Server does not. With a ring
-	// in hand the catalog keeps every request on one shard and each
-	// acquire asserts the generation the placement was resolved under.
-	var ring *shard.Ring
-	if info, err := probe.Ring(ctx); err == nil {
-		ring = replicaRing(info)
+	// With the ring in hand the catalog keeps every request on one
+	// shard and each acquire asserts the generation the placement was
+	// resolved under.
+	info, err := probe.Ring(ctx)
+	if err != nil {
+		fail(fmt.Errorf("cannot read the ring from %s: %w", *addr, err))
 	}
+	ring := replicaRing(info)
 	cat := buildCatalog(rep.Edges, ring)
 	if *keys > 0 {
 		cat = buildKeyCatalog(*keys, rep.Edges, ring)
@@ -104,7 +104,6 @@ func loadgen(args []string) {
 		pair:      *pair,
 		span:      *span,
 		seed:      *seed,
-		sharded:   ring != nil,
 		dist:      distOpts{dist: *dist, skew: *skew, hotset: *hotset, hot: *hot},
 	})
 
@@ -135,18 +134,16 @@ func loadgen(args []string) {
 	lat.AddRow(ms(0.50), ms(0.90), ms(0.95), ms(0.99), ms(1.0))
 	lat.Render(os.Stdout)
 
-	if ring != nil {
-		per := stats.NewTable("per-shard acquire latency",
-			"shard", "grants", "p50 (ms)", "p95 (ms)", "p99 (ms)")
-		for _, s := range cat.shards {
-			t := res.perShard[s]
-			per.AddRow(s, t.grants.Load(),
-				fmt.Sprintf("%.2f", quantileMS(t.rec, 0.50)),
-				fmt.Sprintf("%.2f", quantileMS(t.rec, 0.95)),
-				fmt.Sprintf("%.2f", quantileMS(t.rec, 0.99)))
-		}
-		per.Render(os.Stdout)
+	per := stats.NewTable("per-shard acquire latency",
+		"shard", "grants", "p50 (ms)", "p95 (ms)", "p99 (ms)")
+	for _, s := range cat.shards {
+		t := res.perShard[s]
+		per.AddRow(s, t.grants.Load(),
+			fmt.Sprintf("%.2f", quantileMS(t.rec, 0.50)),
+			fmt.Sprintf("%.2f", quantileMS(t.rec, 0.95)),
+			fmt.Sprintf("%.2f", quantileMS(t.rec, 0.99)))
 	}
+	per.Render(os.Stdout)
 
 	printWireStats(res.wire)
 	if *failover {
@@ -201,7 +198,7 @@ func printWireStats(s *wire.ClientStats) {
 // printFailoverSummary reports the replica-set state of a replicated
 // router after a load run: per-shard role, incarnation, standby count,
 // and replication lag from /v1/status, plus the promotion counters from
-// /metrics. Against an unreplicated server it degrades to empty rows.
+// /metrics.
 func printFailoverSummary(ctx context.Context, c *lockservice.Client) {
 	rep, err := c.Status(ctx)
 	if err != nil {
@@ -210,16 +207,8 @@ func printFailoverSummary(ctx context.Context, c *lockservice.Client) {
 	}
 	per := stats.NewTable("per-shard replica state",
 		"shard", "role", "incarnation", "standbys", "repl lag (records)")
-	rows := rep.Reports
-	if len(rows) == 0 {
-		rows = []lockservice.StatusReport{*rep}
-	}
-	for _, r := range rows {
-		role := r.Role
-		if role == "" {
-			role = "unreplicated"
-		}
-		per.AddRow(r.ShardID, role, r.ShardIncarnation, r.Standbys, r.ReplicationLag)
+	for _, r := range rep.Reports {
+		per.AddRow(r.ShardID, r.Role, r.ShardIncarnation, r.Standbys, r.ReplicationLag)
 	}
 	per.Render(os.Stdout)
 

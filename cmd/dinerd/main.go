@@ -3,16 +3,17 @@
 //
 // Usage:
 //
-//	dinerd serve   [-addr :7467] [-wire-addr :7468] [-topology grid] [-shards 4] [-replicas 2] [-rebalance] ...
+//	dinerd serve   [-addr :7467] [-wire-addr :7468] [-topology grid] [-shards 1] [-replicas 0] [-rebalance] ...
 //	dinerd loadgen [-addr http://127.0.0.1:7467] [-transport http|wire] [-clients 8] [-failover] ...
 //	dinerd chaos   [-seed 1] [-duration 15s] [-kills 2] [-churn 1] [-supervise] [-replicas 2] ...
 //	dinerd bench   [-mode transports|shards|failover|hotkey] [-out BENCH_wire.json] ...
 //
-// serve starts the HTTP/JSON API (see docs/DINERD.md): POST
-// /v1/acquire, POST /v1/release, POST /v1/renew, GET /v1/status,
-// GET /metrics, and POST /v1/admin/crash for fault injection — plus
-// the framed binary wire protocol (see docs/WIRE.md) on -wire-addr,
-// both transports fronting the same lease table. SIGINT/SIGTERM
+// serve builds a consistent-hash router over -shards arbiter shards
+// (default one) and starts its HTTP/JSON API (see docs/DINERD.md):
+// POST /v1/acquire, POST /v1/release, POST /v1/renew, GET /v1/status,
+// GET /v1/ring, GET /metrics, and the /v1/admin endpoints for fault
+// injection — plus the framed binary wire protocol (see docs/WIRE.md)
+// on -wire-addr, both transports fronting the same router. SIGINT/SIGTERM
 // drain gracefully: in-flight leases get a grace window to be
 // released before the diners network stops.
 package main
@@ -101,47 +102,34 @@ func serve(args []string) {
 		TickEvery:      *tick,
 		LossRate:       *loss,
 	}
-	// One shard serves the plain Server; more front N servers with the
-	// consistent-hash router (each shard its own diners core over its
-	// own copy of the topology).
-	var handler http.Handler
-	var stopSvc func(context.Context)
-	var backend wire.Backend
-	if *shards > 1 || *replicas > 0 {
-		rcfg := lockservice.RouterConfig{Shards: *shards, Vnodes: *vnodes, Replicas: *replicas, Base: base}
-		if *rebalance {
-			rcfg.Rebalance = &control.Config{
-				Interval:   *rebEvery,
-				Hysteresis: *rebHyst,
-				Cooldown:   *rebCool,
-				Logf:       log.Printf,
-			}
+	// Every shard is its own diners core over its own copy of the
+	// topology, fronted by the consistent-hash router; the default is a
+	// one-shard ring.
+	rcfg := lockservice.RouterConfig{Shards: *shards, Vnodes: *vnodes, Replicas: *replicas, Base: base}
+	mode := "static placement"
+	if *rebalance {
+		rcfg.Rebalance = &control.Config{
+			Interval:   *rebEvery,
+			Hysteresis: *rebHyst,
+			Cooldown:   *rebCool,
+			Logf:       log.Printf,
 		}
-		rt := lockservice.NewRouter(rcfg)
-		rt.Start()
-		handler, stopSvc, backend = rt.Handler(), rt.Stop, rt.WireBackend()
-		mode := "static placement"
-		if *rebalance {
-			mode = "rebalance loop every " + rebEvery.String()
-		}
-		fmt.Printf("dinerd: serving %d x %s (%d workers, %d locks, %d standbys/shard, ring gen %d, %s) on %s\n",
-			*shards, g.Name(), *shards*g.N(), *shards*g.EdgeCount(), *replicas, rt.RingInfo().Generation, mode, *addr)
-	} else {
-		srv := lockservice.NewServer(base)
-		srv.Start()
-		handler, stopSvc, backend = srv.Handler(), srv.Stop, srv.WireBackend()
-		fmt.Printf("dinerd: serving %s (%d workers, %d locks) on %s\n",
-			g.Name(), g.N(), g.EdgeCount(), *addr)
+		mode = "rebalance loop every " + rebEvery.String()
 	}
+	rt := lockservice.NewRouter(rcfg)
+	rt.Start()
+	fmt.Printf("dinerd: serving %d x %s (%d workers, %d locks, %d standbys/shard, ring gen %d, %s) on %s\n",
+		rt.Shards(), g.Name(), rt.Shards()*g.N(), rt.Shards()*g.EdgeCount(), *replicas, rt.RingInfo().Generation, mode, *addr)
 
 	// Both transports front the same backend: the wire listener accepts
 	// framed connections while HTTP stays up as the compatibility
 	// facade, and /metrics (served over HTTP) appends the wire server's
 	// counters so one scrape covers both.
 	errc := make(chan error, 2)
+	handler := rt.Handler()
 	var ws *wire.Server
 	if *wireAddr != "" {
-		ws = wire.NewServer(wire.ServerConfig{Backend: backend})
+		ws = wire.NewServer(wire.ServerConfig{Backend: rt.WireBackend()})
 		wireLn, err := net.Listen("tcp", *wireAddr)
 		if err != nil {
 			fail(err)
@@ -178,7 +166,7 @@ func serve(args []string) {
 		ws.Close()
 	}
 	_ = httpSrv.Shutdown(shutdownCtx)
-	stopSvc(shutdownCtx)
+	rt.Stop(shutdownCtx)
 	fmt.Println("dinerd: stopped")
 }
 

@@ -1,12 +1,10 @@
 package lockservice
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"mcdp/internal/control"
 	"mcdp/internal/graph"
@@ -77,10 +75,9 @@ type NodeStatus struct {
 	Incarnation int64  `json:"incarnation"`
 }
 
-// StatusReport is the body of GET /v1/status. A standalone server fills
-// ShardID from its config and leaves Shards at zero; a Router answers
-// with the same shape, Shards set to the shard count, RingGen to the
-// current ring generation, and the per-shard reports under Reports.
+// StatusReport is the body of GET /v1/status: the Router's aggregate
+// (ShardID -1, Shards the shard count, RingGen the current ring
+// generation) with each shard's own report, ShardID set, under Reports.
 type StatusReport struct {
 	Topology     string       `json:"topology"`
 	ShardID      int          `json:"shard_id"`
@@ -180,30 +177,6 @@ func (s *Server) Status() StatusReport {
 	return rep
 }
 
-// Handler returns dinerd's HTTP surface:
-//
-//	POST /v1/acquire      acquire a resource set (blocks until grant/timeout)
-//	POST /v1/release      release a granted session
-//	GET  /v1/status       topology, per-worker state, queues, leases
-//	GET  /metrics         Prometheus text exposition
-//	POST /v1/admin/crash  inject a malicious (or benign) crash: ?node=N&steps=K
-//	POST /v1/admin/restart  revive a worker: ?node=N&mode=clean|garbage
-//	POST /v1/admin/leave  retire a worker from service: ?node=N
-//	POST /v1/admin/join   readmit a departed worker: ?node=N
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/acquire", s.handleAcquire)
-	mux.HandleFunc("/v1/release", s.handleRelease)
-	mux.HandleFunc("/v1/renew", s.handleRenew)
-	mux.HandleFunc("/v1/status", s.handleStatus)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/admin/crash", s.handleCrash)
-	mux.HandleFunc("/v1/admin/restart", s.handleRestart)
-	mux.HandleFunc("/v1/admin/leave", s.handleLeave)
-	mux.HandleFunc("/v1/admin/join", s.handleJoin)
-	return mux
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -214,10 +187,34 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
+// maxBodyBytes caps every JSON request body; a larger one is 413.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a POST's JSON body, capped at maxBodyBytes, into
+// v. It answers 405, 413 or 400 itself and returns false when the
+// method is wrong or the body does not decode.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
+	if req.Method != http.MethodPost {
+		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, err)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, err)
+	default:
+		return true
+	}
+	return false
+}
+
 // statusFor maps the server's sentinel errors onto HTTP status codes.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrUnmappable), errors.Is(err, ErrCrossShard):
+	case errors.Is(err, ErrUnmappable):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrWrongShard), errors.Is(err, ErrSpanAborted), errors.Is(err, ErrDeposed):
 		return http.StatusConflict
@@ -233,87 +230,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req AcquireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Resources) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("resources must be non-empty"))
-		return
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	grant, err := s.Acquire(ctx, req.Resources, time.Duration(req.TTLMS)*time.Millisecond)
-	if err != nil {
-		code := statusFor(err)
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeErr(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AcquireResponse{
-		SessionID: grant.SessionID,
-		Node:      int(grant.Node),
-		Resources: grant.Resources,
-		WaitMS:    float64(grant.Wait.Microseconds()) / 1000,
-	})
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.Release(req.SessionID); err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReleaseResponse{Released: true})
-}
-
-func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ttl, err := s.Renew(req.SessionID, time.Duration(req.TTLMS)*time.Millisecond)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RenewResponse{Renewed: true, TTLMS: ttl.Milliseconds()})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.WriteMetrics(w)
 }
 
 func (s *Server) handleCrash(w http.ResponseWriter, r *http.Request) {

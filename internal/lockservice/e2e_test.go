@@ -64,18 +64,18 @@ func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 	g := DemoTopology() // 3x4 grid; victim 0 is a corner
 	const victim = graph.ProcID(0)
 
-	srv := NewServer(Config{
+	rt := NewRouter(RouterConfig{Base: Config{
 		Graph:     g,
 		Seed:      7,
 		TickEvery: 300 * time.Microsecond,
-	})
-	srv.Start()
+	}})
+	rt.Start()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		srv.Stop(ctx)
+		rt.Stop(ctx)
 	}()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
 	ledger := newShadowLedger()

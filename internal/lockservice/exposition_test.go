@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mcdp/internal/graph"
+	"mcdp/internal/stats"
 	"mcdp/internal/wire"
 )
 
@@ -73,7 +74,7 @@ func TestExpositionGolden(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
 		s := startServer(t, fastConfig(graph.Grid(2, 2)))
 		var buf bytes.Buffer
-		s.WriteMetrics(&buf)
+		_ = stats.WriteText(&buf, s.families())
 		checkGolden(t, "server.metrics", buf.String())
 	})
 	t.Run("router", func(t *testing.T) {
@@ -83,8 +84,8 @@ func TestExpositionGolden(t *testing.T) {
 		checkGolden(t, "router.metrics", buf.String())
 	})
 	t.Run("wire", func(t *testing.T) {
-		s := NewServer(fastConfig(graph.Grid(2, 2)))
-		ws := wire.NewServer(wire.ServerConfig{Backend: s.WireBackend()})
+		rt := NewRouter(RouterConfig{Base: fastConfig(graph.Grid(2, 2))})
+		ws := wire.NewServer(wire.ServerConfig{Backend: rt.WireBackend()})
 		var buf bytes.Buffer
 		ws.WritePrometheus(&buf)
 		checkGolden(t, "wire.metrics", buf.String())

@@ -485,3 +485,60 @@ func TestRouterStopStopsStandbys(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestAdminFollowsPromotion sends the per-node admin endpoints after a
+// failover: each must reach the promoted primary, never the deposed
+// server the shard started with, and an unknown admin path is 404.
+func TestAdminFollowsPromotion(t *testing.T) {
+	rt := startReplicatedRouter(t, 1, 1, fastFailover(&logCapture{}))
+	hs := httptest.NewServer(rt.Handler())
+	defer hs.Close()
+	deposed := rt.Shard(0)
+	if err := rt.Failover(0, 10*time.Second); err != nil {
+		t.Fatalf("Failover: %v", err)
+	}
+	promoted := rt.Shard(0)
+	if promoted == deposed {
+		t.Fatal("failover left the original primary serving")
+	}
+	post := func(path string, want int) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "", nil)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: status = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+
+	// A kill lands at the node's next event, so wait for it.
+	post("/v1/admin/crash?shard=0&node=1&steps=0", http.StatusOK)
+	waitCond(t, 5*time.Second, "node 1 dead on the promoted primary", func() bool {
+		return promoted.Network().Snapshot(1).Dead
+	})
+	if deposed.Network().Snapshot(1).Dead {
+		t.Fatal("crash reached the deposed primary")
+	}
+	post("/v1/admin/restart?shard=0&node=1", http.StatusOK)
+	post("/v1/admin/leave?shard=0&node=2", http.StatusOK)
+	if !promoted.Departed(2) || deposed.Departed(2) {
+		t.Fatalf("leave: departed on promoted=%v deposed=%v, want true/false", promoted.Departed(2), deposed.Departed(2))
+	}
+	post("/v1/admin/join?shard=0&node=2", http.StatusOK)
+	for _, c := range []struct {
+		op   string
+		p, d int64
+	}{
+		{"crash", promoted.Metrics().CrashesInjected.Load(), deposed.Metrics().CrashesInjected.Load()},
+		{"restart", promoted.Metrics().NodeRestarts.Load(), deposed.Metrics().NodeRestarts.Load()},
+		{"leave", promoted.Metrics().NodeLeaves.Load(), deposed.Metrics().NodeLeaves.Load()},
+		{"join", promoted.Metrics().NodeJoins.Load(), deposed.Metrics().NodeJoins.Load()},
+	} {
+		if c.p != 1 || c.d != 0 {
+			t.Errorf("%s: promoted count %d, deposed count %d; want 1 and 0", c.op, c.p, c.d)
+		}
+	}
+	post("/v1/admin/x", http.StatusNotFound)
+}

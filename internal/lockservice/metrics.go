@@ -1,17 +1,15 @@
 package lockservice
 
 import (
-	"io"
 	"strconv"
 	"sync/atomic"
 
 	"mcdp/internal/stats"
 )
 
-// Metrics is dinerd's observability surface: plain atomic counters plus
-// latency histograms, exported in Prometheus text exposition format by
-// Server.WriteMetrics through internal/stats, with no external
-// dependency.
+// Metrics is one server's observability surface: plain atomic counters
+// plus latency histograms, exported as typed families (families) that
+// the Router merges into its Prometheus text exposition.
 type Metrics struct {
 	AcquireRequests       atomic.Int64
 	Grants                atomic.Int64
@@ -44,16 +42,10 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// WriteMetrics writes the full metrics surface — request counters,
-// queue/lease gauges, per-node diners state, substrate message
-// counters, and the wait/hold histograms — in Prometheus text format.
-// A write error is dropped: the scraper sees a short body.
-func (s *Server) WriteMetrics(w io.Writer) {
-	_ = stats.WriteText(w, s.families())
-}
-
-// families returns the server's exposition as typed families; the
-// router merges its primaries' families from here.
+// families returns the server's exposition as typed families — request
+// counters, queue/lease gauges, per-node diners state, substrate
+// message counters, and the wait/hold histograms; the router merges
+// its primaries' families from here.
 func (s *Server) families() []stats.Family {
 	m := s.metrics
 	dropped, duplicated, corrupted, delayed := s.nw.FaultsInjected()

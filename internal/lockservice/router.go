@@ -2,7 +2,6 @@ package lockservice
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +16,7 @@ import (
 	"mcdp/internal/control"
 	"mcdp/internal/shard"
 	"mcdp/internal/stats"
+	"mcdp/internal/wire"
 )
 
 // RouterConfig tunes a Router.
@@ -399,37 +399,6 @@ func (r *Router) fencedLocked(res string, now time.Time) *migration {
 	return m
 }
 
-// shardFor resolves a resource set to its owning shard. Every resource
-// must hash to the same shard; a spanning set is ErrCrossShard, and a
-// resource fenced by an in-flight migration is ErrWrongShard (the
-// client re-resolves and retries once the key lands).
-func (r *Router) shardFor(resources []string) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(resources) == 0 {
-		return 0, fmt.Errorf("%w: empty resource set", ErrUnmappable)
-	}
-	now := time.Now()
-	home := -1
-	for _, res := range resources {
-		if m := r.fencedLocked(res, now); m != nil {
-			r.metrics.MigrationFences.Add(1)
-			return 0, fmt.Errorf("%w: key %q migrating shard %d -> %d", ErrWrongShard, res, m.src, m.dst)
-		}
-		s, ok := r.ring.Lookup(res)
-		if !ok {
-			return 0, ErrUnserviceable
-		}
-		if home == -1 {
-			home = s
-		} else if s != home {
-			return 0, fmt.Errorf("%w: %q on shard %d, %q on shard %d",
-				ErrCrossShard, resources[0], home, res, s)
-		}
-	}
-	return home, nil
-}
-
 // generation returns the current ring generation — the cache
 // pushRingGen publishes, so readers pay one atomic load and the grant
 // path never takes mu just to read the epoch.
@@ -796,18 +765,18 @@ func (r *Router) Status() StatusReport {
 	return agg
 }
 
-// Handler returns the router's HTTP surface — the Server API plus the
-// ring endpoints:
+// Handler returns dinerd's HTTP surface:
 //
 //	POST /v1/acquire     ring-routed acquire (409 on stale ring_gen)
 //	POST /v1/release     release, routed by the session-ID shard prefix
+//	POST /v1/renew       lease renewal, routed like release
 //	GET  /v1/status      aggregated report with per-shard sub-reports
 //	GET  /v1/ring        ring seed/vnodes/generation/members
 //	GET  /metrics        merged Prometheus exposition across shards
 //	POST /v1/admin/ring  ?op=leave|join&shard=S: ring membership
 //	POST /v1/admin/failover  ?shard=S: kill the shard primary, await promotion
 //	POST /v1/admin/migrate   ?key=K&to=S: fence/drain/commit one key move
-//	POST /v1/admin/*     crash/restart/leave/join, fanned out by ?shard=S
+//	POST /v1/admin/*     crash/restart/leave/join on shard ?shard=S's primary
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/acquire", r.handleAcquire)
@@ -831,18 +800,22 @@ func (r *Router) Handler() http.Handler {
 }
 
 func (r *Router) handleAcquire(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	var body AcquireRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, req, &body) {
 		return
 	}
-	if len(body.Resources) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("resources must be non-empty"))
+	// The wire codec's bounds, checked before Acquire: partsFor walks
+	// every resource under mu, so an unbounded set would stall placement
+	// for every other acquire.
+	if n := len(body.Resources); n == 0 || n > wire.MaxResources {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("resources must number 1..%d, got %d", wire.MaxResources, n))
 		return
+	}
+	for _, res := range body.Resources {
+		if len(res) > wire.MaxResNameLen {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("resource name of %d bytes exceeds %d", len(res), wire.MaxResNameLen))
+			return
+		}
 	}
 	ctx := req.Context()
 	if body.TimeoutMS > 0 {
@@ -881,13 +854,8 @@ func (r *Router) handleAcquire(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleRelease(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	var body ReleaseRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	if err := r.Release(body.SessionID); err != nil {
@@ -898,13 +866,8 @@ func (r *Router) handleRelease(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleRenew(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	var body RenewRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	ttl, err := r.Renew(body.SessionID, time.Duration(body.TTLMS)*time.Millisecond)
@@ -974,9 +937,24 @@ func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, r.RingInfo())
 }
 
-// handleAdmin fans the per-node admin endpoints out to one shard's own
-// handler, selected by ?shard=S (default 0).
+// handleAdmin dispatches the per-node admin endpoints to the current
+// primary of the shard selected by ?shard=S (default 0), resolved per
+// request so the endpoints follow a promotion.
 func (r *Router) handleAdmin(w http.ResponseWriter, req *http.Request) {
+	var handle func(*Server, http.ResponseWriter, *http.Request)
+	switch req.URL.Path {
+	case "/v1/admin/crash":
+		handle = (*Server).handleCrash
+	case "/v1/admin/restart":
+		handle = (*Server).handleRestart
+	case "/v1/admin/leave":
+		handle = (*Server).handleLeave
+	case "/v1/admin/join":
+		handle = (*Server).handleJoin
+	default:
+		http.NotFound(w, req)
+		return
+	}
 	s := 0
 	if v := req.URL.Query().Get("shard"); v != "" {
 		var err error
@@ -985,7 +963,7 @@ func (r *Router) handleAdmin(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	r.sets[s].adminHandler().ServeHTTP(w, req)
+	handle(r.sets[s].Primary(), w, req)
 }
 
 // handleFailover is the kill-primary admin switch: POST

@@ -1,7 +1,9 @@
 package lockservice
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 
 	"mcdp/internal/graph"
 	"mcdp/internal/shard"
+	"mcdp/internal/wire"
 )
 
 func startRouter(t *testing.T, shards int, base Config) *Router {
@@ -488,5 +491,59 @@ func TestRouterWrongShardRetry(t *testing.T) {
 	}
 	if err := rt.RingLeave(1); err == nil {
 		t.Fatal("removing the last ring member accepted")
+	}
+}
+
+// TestRouterAcquireInputBounds holds HTTP acquires to the wire codec's
+// bounds: too many resources or too long a name is 400 before Acquire
+// routes anything, and a body over maxBodyBytes is 413.
+func TestRouterAcquireInputBounds(t *testing.T) {
+	rt := startRouter(t, 2, fastConfig(graph.Grid(2, 3)))
+	hs := httptest.NewServer(rt.Handler())
+	defer hs.Close()
+	routed := func() (n int64) {
+		for i := range rt.Metrics().ShardRequests {
+			n += rt.Metrics().ShardRequests[i].Load()
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name      string
+		resources []string
+		want      int // 0: anything but 400
+	}{
+		{"65 resources", catalog(wire.MaxResources + 1), http.StatusBadRequest},
+		{"513-byte name", []string{strings.Repeat("x", wire.MaxResNameLen+1)}, http.StatusBadRequest},
+		{"70 KiB body", []string{strings.Repeat("x", 70<<10)}, http.StatusRequestEntityTooLarge},
+		{"64 valid names", catalog(wire.MaxResources), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(AcquireRequest{Resources: tc.resources, TimeoutMS: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := routed()
+			resp, err := http.Post(hs.URL+"/v1/acquire", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer resp.Body.Close()
+			if tc.want == 0 {
+				if resp.StatusCode == http.StatusBadRequest {
+					t.Fatalf("%d in-bound names rejected with 400", len(tc.resources))
+				}
+				var grant AcquireResponse
+				if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&grant) == nil {
+					_ = rt.Release(grant.SessionID)
+				}
+				return
+			}
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+			}
+			if after := routed(); after != before {
+				t.Fatalf("rejected acquire was routed: shard requests %d -> %d", before, after)
+			}
+		})
 	}
 }

@@ -34,12 +34,6 @@ var (
 	ErrNotFound = errors.New("lockservice: unknown session")
 	// ErrWrongShard: the client routed with a stale ring generation (409).
 	ErrWrongShard = errors.New("lockservice: stale ring generation")
-	// ErrCrossShard: the resource set spans ring shards and the caller
-	// required single-shard placement (422). The Router no longer
-	// returns it from Acquire — spanning sets go through the span
-	// protocol — but shardFor keeps the contract for callers that need
-	// one owning shard.
-	ErrCrossShard = errors.New("lockservice: resource set spans shards")
 	// ErrSpanAborted: a cross-shard span lost a prepare lease before
 	// commit and every sub-lease was rolled back (409, retryable — the
 	// span left no residue, so a fresh attempt is safe).
@@ -65,9 +59,9 @@ type Config struct {
 	// Graph is the worker topology (a lock per edge). Defaults to
 	// DemoTopology().
 	Graph *graph.Graph
-	// ShardID identifies this server inside a sharded deployment; it
-	// prefixes every session ID ("k<shard>:s...") so a Router can route
-	// releases without a lookup table. 0 for a standalone server.
+	// ShardID is this server's shard index, set by the Router; it
+	// prefixes every session ID ("k<shard>:s...") so the Router can
+	// route releases without a lookup table.
 	ShardID int
 	// Seed drives the msgpass substrate.
 	Seed int64
@@ -127,9 +121,9 @@ type lease struct {
 	deadline  time.Time
 }
 
-// Server is the dinerd core: the msgpass diners network, the drinkers
-// session arbiter, and the lease bookkeeping. Create with NewServer,
-// then Start; the HTTP surface is Handler().
+// Server is one shard's dinerd core: the msgpass diners network, the
+// drinkers session arbiter, and the lease bookkeeping. A Router builds
+// and serves every Server; its HTTP and wire surfaces are the Router's.
 type Server struct {
 	cfg     Config
 	g       *graph.Graph
@@ -654,10 +648,6 @@ func (s *Server) JoinNode(node graph.ProcID) error {
 // serving under; the Router updates it on every ring membership change
 // so /v1/status answers from any shard agree on the routing epoch.
 func (s *Server) SetRingGen(gen uint64) { s.ringGen.Store(gen) }
-
-// RingGen returns the last ring generation set by SetRingGen (0 for a
-// standalone server).
-func (s *Server) RingGen() uint64 { return s.ringGen.Load() }
 
 // Stop drains the server: new acquires are rejected, pending waiters
 // are woken with ErrDraining, and live leases are given until the

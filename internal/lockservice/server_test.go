@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mcdp/internal/graph"
+	"mcdp/internal/stats"
 )
 
 // fastConfig returns a server config tuned for tests: a tiny topology
@@ -235,7 +236,7 @@ func TestMetricsExposition(t *testing.T) {
 	s.Release(g1.SessionID)
 
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	_ = stats.WriteText(&buf, s.families())
 	text := buf.String()
 	for _, want := range []string{
 		"dinerd_grants_total 1",

@@ -39,19 +39,19 @@ func TestWireEndToEndSurvivesMaliciousCrash(t *testing.T) {
 	g := DemoTopology() // 3x4 grid; victim 0 is a corner
 	const victim = graph.ProcID(0)
 
-	srv := NewServer(Config{
+	rt := NewRouter(RouterConfig{Base: Config{
 		Graph:     g,
 		Seed:      7,
 		TickEvery: 300 * time.Microsecond,
-	})
-	srv.Start()
+	}})
+	rt.Start()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		srv.Stop(ctx)
+		rt.Stop(ctx)
 	}()
-	wireAddr := startWireListener(t, srv.WireBackend())
-	ts := httptest.NewServer(srv.Handler()) // admin + status facade
+	wireAddr := startWireListener(t, rt.WireBackend())
+	ts := httptest.NewServer(rt.Handler()) // admin + status facade
 	defer ts.Close()
 
 	ledger := newShadowLedger()
@@ -260,13 +260,11 @@ func TestWireFacadeParity(t *testing.T) {
 	hc := NewClient(ts.URL)
 
 	// Pick one key per shard from the routable catalog.
-	keys := map[int][]string{}
+	var names []string
 	for _, e := range router.Shard(0).Graph().Edges() {
-		name := EdgeName(e)
-		if s, err := router.shardFor([]string{name}); err == nil {
-			keys[s] = append(keys[s], name)
-		}
+		names = append(names, EdgeName(e))
 	}
+	keys := router.ShardKeys(names)
 	if len(keys[0]) == 0 || len(keys[1]) == 0 {
 		t.Fatalf("catalog did not cover both shards: %v", keys)
 	}

@@ -299,7 +299,10 @@ func (n *forkNode) act() {
 			n.eatRemaining--
 			return
 		}
-		// Exit: all forks dirty; honor deferred requests.
+		// Exit: stamp the meal's end before any fork leaves, so a
+		// neighbour that eats on a handed-over fork starts after it;
+		// then all forks dirty, honor deferred requests.
+		n.net.recordEnd(n.id)
 		n.state = 0
 		for i := range n.edges {
 			e := &n.edges[i]
@@ -308,7 +311,6 @@ func (n *forkNode) act() {
 				n.sendFork(e)
 			}
 		}
-		n.net.recordEnd(n.id)
 		return
 	}
 	// Hungry (always): request every missing fork we can, check for a

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strconv"
 	"sync"
 )
@@ -188,71 +187,4 @@ func (h *LatencyHistogram) Observe(x float64) {
 	h.counts[i]++
 	h.sum += x
 	h.count++
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation inside the containing bucket. An empty histogram
-// yields 0; mass in the +Inf bucket clamps to the largest bound.
-func (h *LatencyHistogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var acc int64
-	for i, c := range h.counts {
-		if float64(acc+c) < rank {
-			acc += c
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(acc)) / float64(c)
-		return lo + frac*(hi-lo)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Count returns the number of observations.
-func (h *LatencyHistogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *LatencyHistogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h *LatencyHistogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	m := h.sum / float64(h.count)
-	if math.IsNaN(m) {
-		return 0
-	}
-	return m
 }

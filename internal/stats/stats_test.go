@@ -317,11 +317,8 @@ func histogramValues(h *LatencyHistogram) (cum []float64, count, sum float64) {
 	return cum, f.Samples[n-1].Value, f.Samples[n-2].Value
 }
 
-func TestLatencyHistogramBucketsAndQuantiles(t *testing.T) {
+func TestLatencyHistogramBuckets(t *testing.T) {
 	h := NewLatencyHistogram([]float64{1, 2, 4})
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile must be 0")
-	}
 	for _, x := range []float64{0.5, 1.5, 1.5, 3, 100} {
 		h.Observe(x)
 	}
@@ -334,15 +331,6 @@ func TestLatencyHistogramBucketsAndQuantiles(t *testing.T) {
 		if cum[i] != wantCum[i] {
 			t.Errorf("cumulative[%d] = %v, want %v", i, cum[i], wantCum[i])
 		}
-	}
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Errorf("median %v outside its bucket (1,2]", q)
-	}
-	if q := h.Quantile(1); q != 4 {
-		t.Errorf("q=1 with +Inf mass = %v, want clamp to max bound 4", q)
-	}
-	if !almostEqual(h.Mean(), 106.5/5) {
-		t.Errorf("Mean = %v", h.Mean())
 	}
 }
 

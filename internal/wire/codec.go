@@ -56,11 +56,13 @@ type Msg struct {
 }
 
 // Protocol bounds enforced by the codec on both encode (panic: caller
-// bug) and decode (ErrBadFrame: untrusted input).
+// bug) and decode (ErrBadFrame: untrusted input). MaxResources and
+// MaxResNameLen bound an acquire's resource count and each name's
+// length; the HTTP facade enforces the same two bounds.
 const (
-	maxResources  = 64
+	MaxResources  = 64
 	maxStringLen  = 4096
-	maxResNameLen = 512
+	MaxResNameLen = 512
 )
 
 // appendBody encodes m's type-specific body.
@@ -74,12 +76,12 @@ func appendBody(buf []byte, typ byte, m *Msg) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, m.TimeoutMS)
 		buf = binary.LittleEndian.AppendUint32(buf, m.TTLMS)
 		buf = binary.LittleEndian.AppendUint64(buf, m.RingGen)
-		if len(m.Resources) == 0 || len(m.Resources) > maxResources {
+		if len(m.Resources) == 0 || len(m.Resources) > MaxResources {
 			panic(fmt.Sprintf("wire: acquire with %d resources", len(m.Resources)))
 		}
 		buf = append(buf, byte(len(m.Resources)))
 		for _, r := range m.Resources {
-			buf = appendString(buf, r, maxResNameLen)
+			buf = appendString(buf, r, MaxResNameLen)
 		}
 	case TypeGrant:
 		buf = appendString(buf, m.Session, maxStringLen)
@@ -106,12 +108,12 @@ func appendBody(buf []byte, typ byte, m *Msg) []byte {
 		buf = appendString(buf, m.Session, maxStringLen)
 		// Unlike acquire, zero resources is legal: release/fence/heartbeat
 		// records identify the lease by session alone.
-		if len(m.Resources) > maxResources {
+		if len(m.Resources) > MaxResources {
 			panic(fmt.Sprintf("wire: repl-apply with %d resources", len(m.Resources)))
 		}
 		buf = append(buf, byte(len(m.Resources)))
 		for _, r := range m.Resources {
-			buf = appendString(buf, r, maxResNameLen)
+			buf = appendString(buf, r, MaxResNameLen)
 		}
 	case TypeReplAck:
 		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
@@ -148,12 +150,12 @@ func decodeBody(r *reader, typ byte, m *Msg) error {
 			return errors.New("short acquire")
 		}
 		n, ok := r.u8()
-		if !ok || n == 0 || int(n) > maxResources {
+		if !ok || n == 0 || int(n) > MaxResources {
 			return fmt.Errorf("acquire resource count %d", n)
 		}
 		m.Resources = make([]string, n)
 		for i := range m.Resources {
-			if m.Resources[i], ok = r.str(maxResNameLen); !ok {
+			if m.Resources[i], ok = r.str(MaxResNameLen); !ok {
 				return errors.New("short acquire resource")
 			}
 		}
@@ -211,13 +213,13 @@ func decodeBody(r *reader, typ byte, m *Msg) error {
 			return errors.New("short repl-apply session")
 		}
 		n, ok := r.u8()
-		if !ok || int(n) > maxResources {
+		if !ok || int(n) > MaxResources {
 			return fmt.Errorf("repl-apply resource count %d", n)
 		}
 		if n > 0 {
 			m.Resources = make([]string, n)
 			for i := range m.Resources {
-				if m.Resources[i], ok = r.str(maxResNameLen); !ok {
+				if m.Resources[i], ok = r.str(MaxResNameLen); !ok {
 					return errors.New("short repl-apply resource")
 				}
 			}
@@ -304,15 +306,15 @@ func frameGroups(batch []Msg) [][]Msg {
 // as an error on the calling goroutine instead of a panic in the
 // shared writer.
 func (m *Msg) Check() error {
-	if m.Type == TypeAcquire && (len(m.Resources) == 0 || len(m.Resources) > maxResources) {
-		return fmt.Errorf("wire: acquire with %d resources (bound 1..%d)", len(m.Resources), maxResources)
+	if m.Type == TypeAcquire && (len(m.Resources) == 0 || len(m.Resources) > MaxResources) {
+		return fmt.Errorf("wire: acquire with %d resources (bound 1..%d)", len(m.Resources), MaxResources)
 	}
-	if m.Type == TypeReplApply && len(m.Resources) > maxResources {
-		return fmt.Errorf("wire: repl-apply with %d resources (bound %d)", len(m.Resources), maxResources)
+	if m.Type == TypeReplApply && len(m.Resources) > MaxResources {
+		return fmt.Errorf("wire: repl-apply with %d resources (bound %d)", len(m.Resources), MaxResources)
 	}
 	for _, r := range m.Resources {
-		if len(r) > maxResNameLen {
-			return fmt.Errorf("wire: resource name length %d exceeds bound %d", len(r), maxResNameLen)
+		if len(r) > MaxResNameLen {
+			return fmt.Errorf("wire: resource name length %d exceeds bound %d", len(r), MaxResNameLen)
 		}
 	}
 	if len(m.Session) > maxStringLen {

@@ -183,7 +183,7 @@ func TestAppendFramePanicsOnCallerBugs(t *testing.T) {
 		AppendFrame(nil, TypeAcquire, []Msg{{Corr: 1}})
 	})
 	mustPanic("oversized resource name", func() {
-		AppendFrame(nil, TypeAcquire, []Msg{{Corr: 1, Resources: []string{strings.Repeat("x", maxResNameLen+1)}}})
+		AppendFrame(nil, TypeAcquire, []Msg{{Corr: 1, Resources: []string{strings.Repeat("x", MaxResNameLen+1)}}})
 	})
 	mustPanic("oversized session", func() {
 		AppendFrame(nil, TypeRelease, []Msg{{Corr: 1, Session: strings.Repeat("s", maxStringLen+1)}})
@@ -197,8 +197,8 @@ func TestAppendFramePanicsOnCallerBugs(t *testing.T) {
 func TestFrameGroupsSplitOversizedBatch(t *testing.T) {
 	// 64 maximal acquires (64 resources x 512-byte names each encode
 	// to ~33KB) total ~2.1MB — more than double MaxPayload.
-	name := strings.Repeat("r", maxResNameLen)
-	resources := make([]string, maxResources)
+	name := strings.Repeat("r", MaxResNameLen)
+	resources := make([]string, MaxResources)
 	for i := range resources {
 		resources[i] = name
 	}
@@ -246,14 +246,14 @@ func TestFrameGroupsSplitOversizedBatch(t *testing.T) {
 // TestMsgCheckBounds: Check must reject exactly the inputs AppendFrame
 // would panic on, and accept maximal-but-legal entries.
 func TestMsgCheckBounds(t *testing.T) {
-	legal := Msg{Type: TypeAcquire, Resources: []string{strings.Repeat("x", maxResNameLen)}}
+	legal := Msg{Type: TypeAcquire, Resources: []string{strings.Repeat("x", MaxResNameLen)}}
 	if err := legal.Check(); err != nil {
 		t.Fatalf("maximal legal acquire rejected: %v", err)
 	}
 	bad := []Msg{
 		{Type: TypeAcquire},
-		{Type: TypeAcquire, Resources: make([]string, maxResources+1)},
-		{Type: TypeAcquire, Resources: []string{strings.Repeat("x", maxResNameLen+1)}},
+		{Type: TypeAcquire, Resources: make([]string, MaxResources+1)},
+		{Type: TypeAcquire, Resources: []string{strings.Repeat("x", MaxResNameLen+1)}},
 		{Type: TypeRelease, Session: strings.Repeat("s", maxStringLen+1)},
 		{Type: TypeError, Text: strings.Repeat("t", maxStringLen+1)},
 	}

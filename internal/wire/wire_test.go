@@ -388,7 +388,7 @@ func TestServeConnUnwedgesWhenWriterDies(t *testing.T) {
 func TestClientRejectsOversizedAcquire(t *testing.T) {
 	cl := NewClient("127.0.0.1:1") // never dialed: bounds fail first
 	defer cl.Close()
-	_, err := cl.Acquire(context.Background(), []string{strings.Repeat("x", maxResNameLen+1)}, 0, 0)
+	_, err := cl.Acquire(context.Background(), []string{strings.Repeat("x", MaxResNameLen+1)}, 0, 0)
 	if err == nil {
 		t.Fatal("oversized resource name accepted")
 	}
